@@ -243,6 +243,11 @@ func TestRetryNeverRepeatsCountingWrites(t *testing.T) {
 	rc := c.WithRetry(client.RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond})
 
 	key := []byte("counted-once")
+	// A round trip first, so the proxy holds the connection the cut
+	// below must sever.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	p.CloseConns() // the first attempt fails; a retry would double-count
 	err = rc.Namespace("").Counter().InsertCount(key, 1)
 	if err == nil {
@@ -256,5 +261,24 @@ func TestRetryNeverRepeatsCountingWrites(t *testing.T) {
 	}
 	if n[0] > 1 {
 		t.Fatalf("count = %d after one failed insert; a retry double-applied", n[0])
+	}
+
+	// A counting merge adds the envelope's counters, so it is a counting
+	// write too: over a cut connection it is attempted exactly once.
+	env, err := c.Namespace("").MultiplicityEnvelope()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	p.CloseConns()
+	if _, err := rc.Namespace("").MergeMultiplicity(env); err == nil {
+		t.Fatal("counting merge over a cut connection reported success")
+	}
+	after := c.Stats()
+	if got := after.Requests - before.Requests; got != 1 {
+		t.Fatalf("counting merge attempted %d times, want exactly 1", got)
+	}
+	if after.Retries != before.Retries {
+		t.Fatalf("counting merge retried %d times", after.Retries-before.Retries)
 	}
 }

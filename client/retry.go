@@ -16,15 +16,14 @@ import (
 // wire) or daemon overload ([IsOverloaded]), both of which mean
 // retrying cannot double-apply an update:
 //
-//   - Membership adds OR bits and merges union filters (membership by
-//     OR, multiplicity by saturating add — re-applying an envelope
-//     never changes a reported count), so repeating a possibly-applied
-//     batch or merge lands on the same answers. Queries, dumps,
-//     freezes (byte-identical by contract), stats, lists, pings and
-//     cluster-map fetches are reads.
-//   - Multiplicity and association updates increment counters; a lost
-//     response may have applied them, so a blind retry double-counts.
-//     These are never retried — resume explicitly from *Error.Applied.
+//   - Membership adds and membership merges OR bits, so repeating a
+//     possibly-applied batch or merge lands on the same answers.
+//     Queries, dumps, freezes (byte-identical by contract), stats,
+//     lists, pings and cluster-map fetches are reads.
+//   - Multiplicity and association updates increment counters, and a
+//     multiplicity merge adds the envelope's counters; a lost response
+//     may have applied them, so a blind retry double-counts. These are
+//     never retried — resume explicitly from *Error.Applied.
 //   - Rotation and namespace create/delete change state the caller
 //     observes (epochs, existence), so a repeat can report a spurious
 //     conflict; they are never retried either.
@@ -57,7 +56,7 @@ func retryableOp(op byte) bool {
 		wire.OpMembershipAdd, wire.OpMembershipContains, wire.OpMembershipMerge,
 		wire.OpMembershipDump, wire.OpFreeze,
 		wire.OpAssociationQuery, wire.OpMultiplicityCount,
-		wire.OpMultiplicityMerge, wire.OpMultiplicityDump:
+		wire.OpMultiplicityDump:
 		return true
 	}
 	return false

@@ -3,14 +3,15 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 
+	"shbf/internal/httpjson"
 	"shbf/internal/wire"
 )
 
@@ -19,6 +20,12 @@ import (
 // is exactly the decode overhead the binary transport exists to avoid
 // — this transport is for convenience and ops tooling, not the serving
 // hot path.
+//
+// The eight data-plane ops go through internal/httpjson. Request
+// bodies are appended byte-identical to json.Marshal of the API's
+// shapes, and the daemon's canonical responses are scanned in one pass
+// into a pooled buffer; any other response falls back to
+// json.Unmarshal. Neither direction allocates per key.
 type httpTransport struct {
 	base string
 	hc   *http.Client
@@ -34,15 +41,6 @@ func newHTTPTransport(base string, hc *http.Client) *httpTransport {
 func (t *httpTransport) close() error {
 	t.hc.CloseIdleConnections()
 	return nil
-}
-
-// encodeKeys maps binary keys to the JSON API's base64 form.
-func encodeKeys(keys [][]byte) []string {
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = base64.StdEncoding.EncodeToString(k)
-	}
-	return out
 }
 
 // nsPath builds /v2/namespaces/{ns}{suffix} with the namespace
@@ -94,104 +92,32 @@ func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *
 		return nil
 
 	case wire.OpMembershipAdd:
-		var body struct {
-			Added uint64 `json:"added"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/membership/add"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Applied = body.Added
-		return nil
+		return t.dataPlane(ctx, req, resp, "/membership/add", httpjson.AppendKeysRequest(nil, req.Keys))
 
 	case wire.OpMembershipContains:
-		var body struct {
-			Results []bool `json:"results"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/membership/contains"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Bools = body.Results
-		return nil
+		return t.dataPlane(ctx, req, resp, "/membership/contains", httpjson.AppendKeysRequest(nil, req.Keys))
 
-	case wire.OpAssociationAdd, wire.OpAssociationRemove:
-		var body struct {
-			Applied uint64 `json:"applied"`
-		}
-		suffix := "/association/add"
-		if req.Op == wire.OpAssociationRemove {
-			suffix = "/association/remove"
-		}
-		payload := map[string]any{"set": int(req.Set), "keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, suffix), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Applied = body.Applied
-		return nil
+	case wire.OpAssociationAdd:
+		return t.dataPlane(ctx, req, resp, "/association/add", httpjson.AppendSetRequest(nil, int(req.Set), req.Keys))
+
+	case wire.OpAssociationRemove:
+		return t.dataPlane(ctx, req, resp, "/association/remove", httpjson.AppendSetRequest(nil, int(req.Set), req.Keys))
 
 	case wire.OpAssociationQuery:
-		var body struct {
-			Results []struct {
-				Mask *uint8 `json:"mask"`
-			} `json:"results"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/association/classify"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Regions = make([]byte, len(body.Results))
-		for i, r := range body.Results {
-			if r.Mask == nil {
-				return fmt.Errorf("client: classify result %d has no mask (daemon too old for the v2 API?)", i)
-			}
-			resp.Regions[i] = *r.Mask
-		}
-		return nil
+		return t.dataPlane(ctx, req, resp, "/association/classify", httpjson.AppendKeysRequest(nil, req.Keys))
 
-	case wire.OpMultiplicityAdd, wire.OpMultiplicityRemove:
-		var body struct {
-			Applied uint64 `json:"applied"`
-		}
-		suffix := "/multiplicity/add"
-		if req.Op == wire.OpMultiplicityRemove {
-			suffix = "/multiplicity/remove"
-		}
-		items := make([]map[string]any, 0, len(req.Keys))
-		for i, k := range req.Keys {
-			count := 1
-			if len(req.Counts) != 0 {
-				count = req.Counts[i]
-			}
-			if count == 0 {
-				continue // wire semantics: zero count applies nothing
-			}
-			items = append(items, map[string]any{
-				"key":   base64.StdEncoding.EncodeToString(k),
-				"count": count,
-			})
-		}
-		payload := map[string]any{"items": items, "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, suffix), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Applied = body.Applied
-		return nil
+	case wire.OpMultiplicityAdd:
+		return t.dataPlane(ctx, req, resp, "/multiplicity/add", httpjson.AppendCountedRequest(nil, req.Keys, req.Counts))
+
+	case wire.OpMultiplicityRemove:
+		return t.dataPlane(ctx, req, resp, "/multiplicity/remove", httpjson.AppendCountedRequest(nil, req.Keys, req.Counts))
 
 	case wire.OpMultiplicityCount:
-		var body struct {
-			Counts []int `json:"counts"`
-		}
-		payload := map[string]any{"keys": encodeKeys(req.Keys), "encoding": "base64"}
-		if err := t.post(ctx, req, resp, t.nsPath(req.Namespace, "/multiplicity/count"), payload, &body); err != nil || resp.Status != wire.StatusOK {
-			return err
-		}
-		resp.Counts = body.Counts
-		return nil
+		return t.dataPlane(ctx, req, resp, "/multiplicity/count", httpjson.AppendKeysRequest(nil, req.Keys))
 
 	case wire.OpMetrics:
 		// The scrape is Prometheus text, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.base+"/metrics", "", nil)
+		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.base+"/metrics", "", nil, nil)
 		if err != nil || resp.Status != wire.StatusOK {
 			return err
 		}
@@ -208,7 +134,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *
 
 	case wire.OpMembershipDump:
 		// The envelope endpoint serves raw ShBE bytes, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.nsPath(req.Namespace, "/membership/envelope"), "", nil)
+		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.nsPath(req.Namespace, "/membership/envelope"), "", nil, nil)
 		if err != nil || resp.Status != wire.StatusOK {
 			return err
 		}
@@ -217,7 +143,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *
 
 	case wire.OpFreeze:
 		// The freeze endpoint serves raw ShBZ bytes, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/freeze"), "", nil)
+		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/freeze"), "", nil, nil)
 		if err != nil || resp.Status != wire.StatusOK {
 			return err
 		}
@@ -226,7 +152,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *
 
 	case wire.OpMembershipMerge:
 		// The merge body is a raw ShBE envelope; the reply is JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/merge"), "application/octet-stream", req.Blob)
+		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/merge"), "application/octet-stream", req.Blob, nil)
 		if err != nil || resp.Status != wire.StatusOK {
 			return err
 		}
@@ -241,7 +167,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *
 
 	case wire.OpMultiplicityDump:
 		// The envelope endpoint serves raw ShBE bytes, not JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.nsPath(req.Namespace, "/multiplicity/envelope"), "", nil)
+		data, err := t.doRaw(ctx, req, resp, http.MethodGet, t.nsPath(req.Namespace, "/multiplicity/envelope"), "", nil, nil)
 		if err != nil || resp.Status != wire.StatusOK {
 			return err
 		}
@@ -250,7 +176,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *
 
 	case wire.OpMultiplicityMerge:
 		// The merge body is a raw ShBE envelope; the reply is JSON.
-		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/multiplicity/merge"), "application/octet-stream", req.Blob)
+		data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, "/multiplicity/merge"), "application/octet-stream", req.Blob, nil)
 		if err != nil || resp.Status != wire.StatusOK {
 			return err
 		}
@@ -264,6 +190,112 @@ func (t *httpTransport) roundTrip(ctx context.Context, req *wire.Request, resp *
 		return nil
 	}
 	return fmt.Errorf("client: op %s has no HTTP mapping", wire.OpName(req.Op))
+}
+
+// respBufs pools the data plane's response buffers; one that grew
+// past maxPooledResp is left to the GC.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResp = 1 << 20
+
+// dataPlane runs one data-plane exchange: body is the request the
+// httpjson encoders rendered, and the response is read into a pooled
+// buffer and decoded into resp.
+func (t *httpTransport) dataPlane(ctx context.Context, req *wire.Request, resp *wire.Response, suffix string, body []byte) error {
+	buf := respBufs.Get().(*[]byte)
+	data, err := t.doRaw(ctx, req, resp, http.MethodPost, t.nsPath(req.Namespace, suffix), "application/json", body, (*buf)[:0])
+	if err == nil && resp.Status == wire.StatusOK {
+		err = decodeDataPlane(req.Op, data, resp)
+	}
+	switch {
+	case cap(data) > maxPooledResp:
+		*buf = nil
+	case data != nil:
+		*buf = data[:0]
+	}
+	respBufs.Put(buf)
+	return err
+}
+
+// decodeDataPlane fills resp from a data-plane success body: the
+// httpjson scanners take the daemon's canonical bytes, and
+// json.Unmarshal, the reference, takes anything else.
+func decodeDataPlane(op byte, data []byte, resp *wire.Response) error {
+	var ok bool
+	switch op {
+	case wire.OpMembershipAdd:
+		if resp.Applied, ok = httpjson.ScanTally(data, "added"); ok {
+			return nil
+		}
+		var body struct {
+			Added uint64 `json:"added"`
+		}
+		if err := json.Unmarshal(data, &body); err != nil {
+			return decodeErr(op, err)
+		}
+		resp.Applied = body.Added
+
+	case wire.OpMembershipContains:
+		if resp.Bools, ok = httpjson.ScanResults(data); ok {
+			return nil
+		}
+		var body struct {
+			Results []bool `json:"results"`
+		}
+		if err := json.Unmarshal(data, &body); err != nil {
+			return decodeErr(op, err)
+		}
+		resp.Bools = body.Results
+
+	case wire.OpAssociationQuery:
+		if resp.Regions, ok = httpjson.ScanMasks(data); ok {
+			return nil
+		}
+		var body struct {
+			Results []struct {
+				Mask *uint8 `json:"mask"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(data, &body); err != nil {
+			return decodeErr(op, err)
+		}
+		resp.Regions = make([]byte, len(body.Results))
+		for i, r := range body.Results {
+			if r.Mask == nil {
+				return fmt.Errorf("client: classify result %d has no mask (daemon too old for the v2 API?)", i)
+			}
+			resp.Regions[i] = *r.Mask
+		}
+
+	case wire.OpMultiplicityCount:
+		if resp.Counts, ok = httpjson.ScanCounts(data); ok {
+			return nil
+		}
+		var body struct {
+			Counts []int `json:"counts"`
+		}
+		if err := json.Unmarshal(data, &body); err != nil {
+			return decodeErr(op, err)
+		}
+		resp.Counts = body.Counts
+
+	default: // association and multiplicity writes
+		if resp.Applied, ok = httpjson.ScanTally(data, "applied"); ok {
+			return nil
+		}
+		var body struct {
+			Applied uint64 `json:"applied"`
+		}
+		if err := json.Unmarshal(data, &body); err != nil {
+			return decodeErr(op, err)
+		}
+		resp.Applied = body.Applied
+	}
+	return nil
+}
+
+func decodeErr(op byte, err error) error {
+	return fmt.Errorf("client: decoding %s response: %w", wire.OpName(op), err)
 }
 
 func (t *httpTransport) get(ctx context.Context, req *wire.Request, resp *wire.Response, url string, out any) error {
@@ -286,22 +318,23 @@ func (t *httpTransport) doJSON(ctx context.Context, req *wire.Request, resp *wir
 		}
 		body, contentType = b, "application/json"
 	}
-	data, err := t.doRaw(ctx, req, resp, method, url, contentType, body)
+	data, err := t.doRaw(ctx, req, resp, method, url, contentType, body, nil)
 	if err != nil || resp.Status != wire.StatusOK {
 		return err
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("client: decoding %s response: %w", wire.OpName(req.Op), err)
+			return decodeErr(req.Op, err)
 		}
 	}
 	return nil
 }
 
-// doRaw runs one HTTP exchange with an arbitrary request body and
-// returns the raw response body, mapping HTTP failure statuses onto
-// the wire status codes so both transports report identically.
-func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire.Response, method, url, contentType string, body []byte) ([]byte, error) {
+// doRaw runs one HTTP exchange with an arbitrary request body,
+// appending the response body to buf (nil for a fresh one), and maps
+// HTTP failure statuses onto the wire status codes so both transports
+// report identically.
+func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire.Response, method, url, contentType string, body, buf []byte) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -318,9 +351,9 @@ func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire
 		return nil, fmt.Errorf("client: %s: %w", wire.OpName(req.Op), err)
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, wire.MaxFrame))
+	data, err := httpjson.ReadAll(buf, io.LimitReader(hresp.Body, wire.MaxFrame))
 	if err != nil {
-		return nil, fmt.Errorf("client: reading %s response: %w", wire.OpName(req.Op), err)
+		return data, fmt.Errorf("client: reading %s response: %w", wire.OpName(req.Op), err)
 	}
 	if hresp.StatusCode >= 400 {
 		var e struct {
@@ -333,7 +366,7 @@ func (t *httpTransport) doRaw(ctx context.Context, req *wire.Request, resp *wire
 		resp.Status = httpStatusToWire(hresp.StatusCode)
 		resp.Msg = e.Error
 		resp.Applied = e.Applied
-		return nil, nil
+		return data[:0], nil
 	}
 	return data, nil
 }

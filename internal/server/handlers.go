@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"shbf/internal/core"
+	"shbf/internal/httpjson"
 )
 
 // Request handlers. Every data-plane handler is namespace-
@@ -24,33 +25,6 @@ import (
 // maxBodyBytes bounds a request body; batches beyond this should be
 // split by the client.
 const maxBodyBytes = 32 << 20
-
-// keyBatch is the common request shape: a batch of element keys, read
-// as raw bytes ("encoding": "raw", the default) or base64
-// ("encoding": "base64") for binary IDs like the paper's 13-byte
-// 5-tuple flow IDs.
-type keyBatch struct {
-	Keys     []string `json:"keys"`
-	Encoding string   `json:"encoding,omitempty"`
-}
-
-// countedItem is one multiplicity update: count defaults to 1.
-type countedItem struct {
-	Key   string `json:"key"`
-	Count int    `json:"count,omitempty"`
-}
-
-type countedBatch struct {
-	Items    []countedItem `json:"items"`
-	Encoding string        `json:"encoding,omitempty"`
-}
-
-// setBatch targets one of the two association sets.
-type setBatch struct {
-	Set      int      `json:"set"`
-	Keys     []string `json:"keys"`
-	Encoding string   `json:"encoding,omitempty"`
-}
 
 // decodeKey maps one wire key to element bytes.
 func decodeKey(key, encoding string) ([]byte, error) {
@@ -80,7 +54,11 @@ func decodeKeys(keys []string, encoding string) ([][]byte, error) {
 // readJSON decodes the request body into dst, rejecting oversized and
 // malformed bodies.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// decodeJSON is readJSON over an already capped body.
+func decodeJSON(w http.ResponseWriter, body io.Reader, dst any) bool {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -134,118 +112,66 @@ func (s *Server) nsMembershipAdd(ns *namespace, w http.ResponseWriter, r *http.R
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	d := newDataReq()
+	defer d.release()
+	if !d.read(w, r, httpjson.ShapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), true); err != nil {
+	if err := ns.admit(len(d.Keys), true); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	// The batch path takes each shard lock once for the whole request
 	// instead of once per key.
-	if err := ns.mem.AddAll(keys); err != nil {
+	if err := ns.mem.AddAll(d.Keys); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	ns.stats.membershipAdd.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]int{"added": len(keys)})
+	ns.stats.membershipAdd.Add(uint64(len(d.Keys)))
+	d.send(w, httpjson.AppendTally(d.out[:0], "added", len(d.Keys)))
 }
 
 func (s *Server) nsMembershipContains(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	d := newDataReq()
+	defer d.release()
+	if !d.read(w, r, httpjson.ShapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), false); err != nil {
+	if err := ns.admit(len(d.Keys), false); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	results := ns.mem.ContainsAll(make([]bool, 0, len(keys)), keys)
-	ns.stats.membershipContains.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	d.bools = ns.mem.ContainsAll(d.bools[:0], d.Keys)
+	ns.stats.membershipContains.Add(uint64(len(d.Keys)))
+	d.send(w, httpjson.AppendResults(d.out[:0], d.bools))
 }
 
 // --- association ----------------------------------------------------------
 
-// regionAnswer is the JSON shape of one classify result. Candidates
-// lists the possible atomic regions ("s1-only", "both", "s2-only"); an
-// empty list is a definite non-member of both sets. Clear mirrors the
-// paper's "clear answer" (exactly one candidate). Mask is the raw
-// candidate-region bitmask (core.Region), the form the native client
-// round-trips; the v1 shim omits it for byte-compatibility.
-type regionAnswer struct {
-	Region     string   `json:"region"`
-	Candidates []string `json:"candidates"`
-	Clear      bool     `json:"clear"`
-	InS1       bool     `json:"in_s1"`
-	InS2       bool     `json:"in_s2"`
-	Mask       *uint8   `json:"mask,omitempty"`
-}
-
-func regionJSON(r core.Region, withMask bool) regionAnswer {
-	cands := make([]string, 0, 3)
-	if r.Contains(core.RegionS1Only) {
-		cands = append(cands, "s1-only")
-	}
-	if r.Contains(core.RegionBoth) {
-		cands = append(cands, "both")
-	}
-	if r.Contains(core.RegionS2Only) {
-		cands = append(cands, "s2-only")
-	}
-	ans := regionAnswer{
-		Region:     r.String(),
-		Candidates: cands,
-		Clear:      r.Clear(),
-		InS1:       r.InS1(),
-		InS2:       r.InS2(),
-	}
-	if withMask {
-		mask := uint8(r)
-		ans.Mask = &mask
-	}
-	return ans
-}
-
-// applySetBatch validates a setBatch and applies op1/op2 per key.
+// applySetBatch validates a set batch and applies op1/op2 per key.
 func (s *Server) applySetBatch(ns *namespace, w http.ResponseWriter, r *http.Request, op1, op2 func([]byte) error) {
 	if err := ns.writable(); err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	var req setBatch
-	if !readJSON(w, r, &req) {
+	d := newDataReq()
+	defer d.release()
+	if !d.read(w, r, httpjson.ShapeSet) {
 		return
 	}
-	if req.Set != 1 && req.Set != 2 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("set must be 1 or 2, got %d", req.Set))
+	if d.Set != 1 && d.Set != 2 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("set must be 1 or 2, got %d", d.Set))
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), true); err != nil {
+	if err := ns.admit(len(d.Keys), true); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	op := op1
-	if req.Set == 2 {
+	if d.Set == 2 {
 		op = op2
 	}
-	for i, k := range keys {
+	for i, k := range d.Keys {
 		if err := op(k); err != nil {
 			// Earlier keys in the batch stay applied; report the split
 			// point so the client can resume.
@@ -256,8 +182,8 @@ func (s *Server) applySetBatch(ns *namespace, w http.ResponseWriter, r *http.Req
 			return
 		}
 	}
-	ns.stats.associationUpdate.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]int{"applied": len(keys)})
+	ns.stats.associationUpdate.Add(uint64(len(d.Keys)))
+	d.send(w, httpjson.AppendTally(d.out[:0], "applied", len(d.Keys)))
 }
 
 func (s *Server) nsAssociationAdd(ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -269,29 +195,21 @@ func (s *Server) nsAssociationRemove(ns *namespace, w http.ResponseWriter, r *ht
 }
 
 func (s *Server) nsAssociationClassify(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	d := newDataReq()
+	defer d.release()
+	if !d.read(w, r, httpjson.ShapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), false); err != nil {
+	if err := ns.admit(len(d.Keys), false); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	// Only the v2 route carries the raw mask; the v1 response shape is
 	// frozen.
 	withMask := r.PathValue("ns") != ""
-	regions := ns.assoc.QueryAll(make([]core.Region, 0, len(keys)), keys)
-	results := make([]regionAnswer, len(keys))
-	for i, r := range regions {
-		results[i] = regionJSON(r, withMask)
-	}
-	ns.stats.associationQuery.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	d.regions = ns.assoc.QueryAll(d.regions[:0], d.Keys)
+	ns.stats.associationQuery.Add(uint64(len(d.Keys)))
+	d.send(w, httpjson.AppendRegions(d.out[:0], d.regions, withMask))
 }
 
 // --- multiplicity ---------------------------------------------------------
@@ -303,24 +221,20 @@ func (s *Server) applyCountedBatch(ns *namespace, w http.ResponseWriter, r *http
 		writeError(w, http.StatusConflict, err)
 		return
 	}
-	var req countedBatch
-	if !readJSON(w, r, &req) {
+	d := newDataReq()
+	defer d.release()
+	if !d.read(w, r, httpjson.ShapeCounted) {
 		return
 	}
 	// The quota charges per key, not per increment: admission meters
 	// request traffic, capacity metering is the filters' MaxCount.
-	if err := ns.admit(len(req.Items), true); err != nil {
+	if err := ns.admit(d.items, true); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
 	applied := 0
-	for i, item := range req.Items {
-		key, err := decodeKey(item.Key, req.Encoding)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
-			return
-		}
-		count := item.Count
+	for i, key := range d.Keys {
+		count := d.Counts[i]
 		if count == 0 {
 			count = 1
 		}
@@ -339,8 +253,14 @@ func (s *Server) applyCountedBatch(ns *namespace, w http.ResponseWriter, r *http
 			applied++
 		}
 	}
+	if d.itemErr != nil {
+		// An undecodable item fails the request after the items before
+		// it have applied.
+		writeError(w, http.StatusBadRequest, d.itemErr)
+		return
+	}
 	ns.stats.multiplicityUpdate.Add(uint64(applied))
-	writeJSON(w, http.StatusOK, map[string]int{"applied": applied})
+	d.send(w, httpjson.AppendTally(d.out[:0], "applied", applied))
 }
 
 func (s *Server) nsMultiplicityAdd(ns *namespace, w http.ResponseWriter, r *http.Request) {
@@ -352,22 +272,18 @@ func (s *Server) nsMultiplicityRemove(ns *namespace, w http.ResponseWriter, r *h
 }
 
 func (s *Server) nsMultiplicityCount(ns *namespace, w http.ResponseWriter, r *http.Request) {
-	var req keyBatch
-	if !readJSON(w, r, &req) {
+	d := newDataReq()
+	defer d.release()
+	if !d.read(w, r, httpjson.ShapeKeys) {
 		return
 	}
-	keys, err := decodeKeys(req.Keys, req.Encoding)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := ns.admit(len(keys), false); err != nil {
+	if err := ns.admit(len(d.Keys), false); err != nil {
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	counts := ns.mult.CountAll(make([]int, 0, len(keys)), keys)
-	ns.stats.multiplicityQuery.Add(uint64(len(keys)))
-	writeJSON(w, http.StatusOK, map[string]any{"counts": counts})
+	d.counts = ns.mult.CountAll(d.counts[:0], d.Keys)
+	ns.stats.multiplicityQuery.Add(uint64(len(d.Keys)))
+	d.send(w, httpjson.AppendCounts(d.out[:0], d.counts))
 }
 
 // --- snapshot -------------------------------------------------------------

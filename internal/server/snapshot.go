@@ -86,8 +86,26 @@ func (s *Server) SaveSnapshotOpts(path string, rotationConsistent bool) (int, er
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, fmt.Errorf("server: snapshot: %w", err)
 	}
+	// The rename is durable only once the directory entry is: without
+	// this sync a crash can lose the new snapshot's name.
+	if err := syncDir(dir); err != nil {
+		return 0, fmt.Errorf("server: snapshot: %w", err)
+	}
 	s.lastSnapshotUnix.Store(time.Now().Unix())
 	return len(buf), nil
+}
+
+// syncDir flushes a directory's entries to stable storage.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // LoadSnapshot replaces the namespace set with the snapshot at path.

@@ -27,12 +27,6 @@ var ErrIncompatible = errors.New("sharded: incompatible filters")
 // serialization costs nothing that matters.
 var unionMu sync.Mutex
 
-// Union ORs other into f, making f represent the union of both key
-// sets. The two filters must have identical Specs (total bits, k, w̄,
-// shard count, base seed); otherwise ErrIncompatible is returned and f
-// is unchanged. Safe for concurrent use with both filters' other
-// operations — shards are merged one pair at a time, so queries keep
-// flowing on every shard the merge is not currently touching.
 // Union merges other into f by the counting-filter union — per shard,
 // a counter-wise saturating add of C, an OR of B and a per-key max
 // over the exact tables (core.CountingMultiplicity.Merge) — making f
@@ -69,6 +63,12 @@ func (f *Multiplicity) Union(other *Multiplicity) error {
 	return nil
 }
 
+// Union ORs other into f, making f represent the union of both key
+// sets. The two filters must have identical Specs (total bits, k, w̄,
+// shard count, base seed); otherwise ErrIncompatible is returned and f
+// is unchanged. Safe for concurrent use with both filters' other
+// operations — shards are merged one pair at a time, so queries keep
+// flowing on every shard the merge is not currently touching.
 func (f *Filter) Union(other *Filter) error {
 	fs, os := f.Spec(), other.Spec()
 	if fs != os {

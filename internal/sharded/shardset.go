@@ -238,6 +238,15 @@ func (s *set[F]) sumLocked(get func(F) int) int {
 	return total
 }
 
+// specLocked reads shard 0's Spec under its read lock: a window ring's
+// Spec reads its head generation, which a rotation replaces.
+func (s *set[F]) specLocked(spec func(F) core.Spec) core.Spec {
+	sh := &s.shards[0]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return spec(sh.f)
+}
+
 // meanLocked averages get across all shards, each read under its
 // shard's read lock.
 func (s *set[F]) meanLocked(get func(F) float64) float64 {

@@ -299,7 +299,7 @@ func (f *Window) Kind() core.Kind { return core.KindWindowShardedMembership }
 // Spec returns the construction geometry (see Filter.Spec for the base
 // seed recovery).
 func (f *Window) Spec() core.Spec {
-	return liftWindowSpec(f.set.shards[0].f.Spec(), core.KindWindowShardedMembership, f.set.size())
+	return liftWindowSpec(f.set.specLocked((*window.Membership).Spec), core.KindWindowShardedMembership, f.set.size())
 }
 
 // Stats returns the aggregate occupancy snapshot.
@@ -491,7 +491,7 @@ func (f *WindowMultiplicity) Kind() core.Kind { return core.KindWindowShardedMul
 // Spec returns the construction geometry (see Filter.Spec for the base
 // seed recovery).
 func (f *WindowMultiplicity) Spec() core.Spec {
-	return liftWindowSpec(f.set.shards[0].f.Spec(), core.KindWindowShardedMultiplicity, f.set.size())
+	return liftWindowSpec(f.set.specLocked((*window.Multiplicity).Spec), core.KindWindowShardedMultiplicity, f.set.size())
 }
 
 // Stats returns the aggregate occupancy snapshot.
@@ -673,7 +673,7 @@ func (f *WindowAssociation) Kind() core.Kind { return core.KindWindowShardedAsso
 // Spec returns the construction geometry (see Filter.Spec for the base
 // seed recovery).
 func (f *WindowAssociation) Spec() core.Spec {
-	return liftWindowSpec(f.set.shards[0].f.Spec(), core.KindWindowShardedAssociation, f.set.size())
+	return liftWindowSpec(f.set.specLocked((*window.Association).Spec), core.KindWindowShardedAssociation, f.set.size())
 }
 
 // Stats returns the aggregate occupancy snapshot (N sums both sets).
