@@ -15,9 +15,11 @@ package core
 // steady size.
 //
 // Update paths that store keys in a backing hash table (counting
-// association/multiplicity inserts of NEW keys) allocate by design —
-// the table keeps a copy of the key — so they are exercised here only
-// on already-stored keys, where they too must be allocation-free.
+// association/multiplicity) are allocation-free on already-stored keys.
+// A NEW key is copied into the table's key arena, so the only
+// allocations are the amortized growth of the table's flat arrays and
+// arena compaction: inserts of new keys must average under 0.01
+// allocations per key.
 
 import (
 	"fmt"
@@ -122,6 +124,59 @@ func TestAssociationHotPathsAllocFree(t *testing.T) {
 		}
 	}
 	requireZeroAllocs(t, "CountingAssociation.Query", 100, func() { ca.Query(keys[i%len(keys)]); i++ })
+	requireZeroAllocs(t, "CountingAssociation.InsertS1 (stored)", 100, func() {
+		if err := ca.InsertS1(keys[i%256]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	// S1 → S1∩S2 → S1 moves rewrite a stored key's mask in place.
+	requireZeroAllocs(t, "CountingAssociation.InsertS2/DeleteS2 (stored)", 100, func() {
+		e := keys[i%256]
+		i++
+		if err := ca.InsertS2(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := ca.DeleteS2(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// requireFewAllocsPerKey fails if inserting n new keys into a fresh
+// filter (built inside insert) averages 0.01 allocations per key or more.
+func requireFewAllocsPerKey(t *testing.T, name string, n int, insert func()) {
+	t.Helper()
+	if perKey := testing.AllocsPerRun(1, insert) / float64(n); perKey >= 0.01 {
+		t.Errorf("%s: %.4f allocs/key over %d new keys, want < 0.01", name, perKey, n)
+	}
+}
+
+func TestNewKeyInsertsAllocRarely(t *testing.T) {
+	const n = 100_000
+	keys := allocKeys(n)
+	requireFewAllocsPerKey(t, "CountingAssociation.InsertS1", n, func() {
+		a, err := NewCountingAssociation(1<<21, 4, WithCounterWidth(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range keys {
+			if err := a.InsertS1(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	requireFewAllocsPerKey(t, "CountingMultiplicity.Insert", n, func() {
+		f, err := NewCountingMultiplicity(1<<21, 4, 8, WithCounterWidth(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range keys {
+			if err := f.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestMultiAssociationQueryAllocFree(t *testing.T) {
@@ -170,6 +225,7 @@ func TestCountingMultiplicityHotPathsAllocFree(t *testing.T) {
 	}
 	i := 0
 	requireZeroAllocs(t, "CountingMultiplicity.Count", 100, func() { f.Count(keys[i%len(keys)]); i++ })
+	requireZeroAllocs(t, "CountingMultiplicity.ExactCount", 100, func() { f.ExactCount(keys[i%len(keys)]); i++ })
 	// Insert/Delete on already-stored keys: the backing table updates in
 	// place, so steady-state churn is allocation-free too.
 	requireZeroAllocs(t, "CountingMultiplicity.Insert/Delete", 100, func() {

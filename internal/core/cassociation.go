@@ -11,10 +11,16 @@ import (
 )
 
 // CountingAssociation is CShBF_A (paper Section 4.3): a dynamically
-// updatable ShBF_A. It maintains the membership hash tables T1 and T2
-// (off-chip, as in the construction phase of Section 4.1), an array C of
-// counters, and the query-side bit array B, synchronized after every
-// update.
+// updatable ShBF_A. It maintains the membership of S1 and S2 (the
+// tables T1 and T2 of the construction phase, Section 4.1, kept
+// off-chip), an array C of counters, and the query-side bit array B,
+// synchronized after every update.
+//
+// T1 and T2 are fused into one exact table that maps each element of
+// S1 ∪ S2 to a membership mask (inS1 | inS2), so an update reads the
+// element's old region and commits its new one with a single probe,
+// and an element in both sets stores its key once. The serialized form
+// still carries T1 and T2 as two tables.
 //
 // The paper describes inserts/deletes as "after querying T1 and T2 and
 // determining whether o(e) = 0, o1(e), or o2(e), increment/decrement the
@@ -26,7 +32,8 @@ import (
 type CountingAssociation struct {
 	bits      *bitvec.Vector
 	counts    *counters.Array
-	t1, t2    *hashtable.Table
+	sets      *hashtable.Table // element → inS1|inS2
+	n1, n2    int
 	m         int
 	k         int
 	wbar      int
@@ -34,6 +41,15 @@ type CountingAssociation struct {
 	fam       *hashing.Family
 	seed      uint64
 }
+
+// Membership-mask bits of the fused T1/T2 table.
+const (
+	inS1 uint64 = 1 << iota
+	inS2
+)
+
+// maskRegion maps a membership mask to its atomic region.
+var maskRegion = [4]Region{RegionNone, RegionS1Only, RegionS2Only, RegionBoth}
 
 // NewCountingAssociation returns an empty updatable association filter.
 func NewCountingAssociation(m, k int, opts ...Option) (*CountingAssociation, error) {
@@ -54,8 +70,7 @@ func NewCountingAssociation(m, k int, opts ...Option) (*CountingAssociation, err
 	a := &CountingAssociation{
 		bits:      bitvec.New(total),
 		counts:    counters.New(total, cfg.counterWidth),
-		t1:        hashtable.New(cfg.seed + 1),
-		t2:        hashtable.New(cfg.seed + 2),
+		sets:      hashtable.New(cfg.seed + 1),
 		m:         m,
 		k:         k,
 		wbar:      cfg.maxOffset,
@@ -74,8 +89,8 @@ func (a *CountingAssociation) SetUpdateCounter(mc *memmodel.Counter) {
 }
 
 // N1, N2 report the current distinct sizes of S1 and S2.
-func (a *CountingAssociation) N1() int { return a.t1.Len() }
-func (a *CountingAssociation) N2() int { return a.t2.Len() }
+func (a *CountingAssociation) N1() int { return a.n1 }
+func (a *CountingAssociation) N2() int { return a.n2 }
 
 // InsertS1 adds e to S1 (no-op if already present), re-encoding e's
 // region if it changed. ErrCounterSaturated is returned if a counter
@@ -87,12 +102,9 @@ func (a *CountingAssociation) InsertS1(e []byte) error {
 // InsertS1Digest is InsertS1 for a caller that already digested e
 // (the sharded layer, which routed on the digest). d must be e's
 // hashing.KeyDigest; the raw key is still needed for the membership
-// tables.
+// table.
 func (a *CountingAssociation) InsertS1Digest(e []byte, d hashing.Digest) error {
-	if a.t1.Contains(e) {
-		return nil
-	}
-	return a.transition(e, d, func() { a.t1.Put(e, 1) })
+	return a.update(e, d, inS1, true)
 }
 
 // InsertS2 adds e to S2 (no-op if already present).
@@ -102,10 +114,7 @@ func (a *CountingAssociation) InsertS2(e []byte) error {
 
 // InsertS2Digest is InsertS2 for an already digested key.
 func (a *CountingAssociation) InsertS2Digest(e []byte, d hashing.Digest) error {
-	if a.t2.Contains(e) {
-		return nil
-	}
-	return a.transition(e, d, func() { a.t2.Put(e, 1) })
+	return a.update(e, d, inS2, true)
 }
 
 // DeleteS1 removes e from S1, returning ErrNotStored if absent.
@@ -115,10 +124,7 @@ func (a *CountingAssociation) DeleteS1(e []byte) error {
 
 // DeleteS1Digest is DeleteS1 for an already digested key.
 func (a *CountingAssociation) DeleteS1Digest(e []byte, d hashing.Digest) error {
-	if !a.t1.Contains(e) {
-		return ErrNotStored
-	}
-	return a.transition(e, d, func() { a.t1.Delete(e) })
+	return a.update(e, d, inS1, false)
 }
 
 // DeleteS2 removes e from S2, returning ErrNotStored if absent.
@@ -128,35 +134,52 @@ func (a *CountingAssociation) DeleteS2(e []byte) error {
 
 // DeleteS2Digest is DeleteS2 for an already digested key.
 func (a *CountingAssociation) DeleteS2Digest(e []byte, d hashing.Digest) error {
-	if !a.t2.Contains(e) {
-		return ErrNotStored
-	}
-	return a.transition(e, d, func() { a.t2.Delete(e) })
+	return a.update(e, d, inS2, false)
 }
 
-// transition applies the set mutation, then re-encodes e if its region
-// changed: decrement the old offset's k counters (clearing bits that
-// reach zero) and increment the new offset's (setting bits). All
+// update sets (insert) or clears the membership bit of e with one probe
+// of the membership table, and re-encodes e under its new region:
+// increment the new offset's k counters (setting bits), then decrement
+// the old offset's (clearing bits that reach zero). Headroom is checked
+// before anything is written, so a failed update changes nothing. All
 // positions derive from the single digest d.
-func (a *CountingAssociation) transition(e []byte, d hashing.Digest, mutate func()) error {
-	oldRegion := a.truthRegion(e)
-	mutate()
-	newRegion := a.truthRegion(e)
-	if oldRegion == newRegion {
+func (a *CountingAssociation) update(e []byte, d hashing.Digest, bit uint64, insert bool) error {
+	c, old, _ := a.sets.Find(e)
+	mask := old &^ bit
+	switch {
+	case insert && old&bit != 0:
 		return nil
+	case !insert && old&bit == 0:
+		return ErrNotStored
+	case insert:
+		mask |= bit
 	}
+	// Every accepted update flips one bit, so e's region changes.
+	oldRegion, newRegion := maskRegion[old], maskRegion[mask]
 	if newRegion != RegionNone {
 		o := a.offsetFor(d, newRegion)
-		// Check saturation up front so failures leave state untouched
-		// (aside from the set-table mutation, which the caller observes
-		// via the error and can undo; encoding and tables stay in sync
-		// for all other elements).
 		for i := 0; i < a.k; i++ {
-			p := a.fam.ModFromDigest(i, d, a.m) + o
-			if a.counts.Peek(p) == a.counts.Max() {
+			if a.counts.Peek(a.fam.ModFromDigest(i, d, a.m)+o) == a.counts.Max() {
 				return ErrCounterSaturated
 			}
 		}
+	}
+	if mask == 0 {
+		a.sets.Remove(c)
+	} else {
+		a.sets.Store(c, e, mask)
+	}
+	n := &a.n1
+	if bit == inS2 {
+		n = &a.n2
+	}
+	if insert {
+		*n++
+	} else {
+		*n--
+	}
+	if newRegion != RegionNone {
+		o := a.offsetFor(d, newRegion)
 		for i := 0; i < a.k; i++ {
 			p := a.fam.ModFromDigest(i, d, a.m) + o
 			a.counts.Inc(p)
@@ -173,21 +196,6 @@ func (a *CountingAssociation) transition(e []byte, d hashing.Digest, mutate func
 		}
 	}
 	return nil
-}
-
-// truthRegion derives e's atomic region from the backing tables.
-func (a *CountingAssociation) truthRegion(e []byte) Region {
-	in1, in2 := a.t1.Contains(e), a.t2.Contains(e)
-	switch {
-	case in1 && in2:
-		return RegionBoth
-	case in1:
-		return RegionS1Only
-	case in2:
-		return RegionS2Only
-	default:
-		return RegionNone
-	}
 }
 
 // offsetFor maps an atomic region to its encoding offset for the

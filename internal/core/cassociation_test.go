@@ -126,6 +126,43 @@ func TestCountingAssociationDeleteAbsent(t *testing.T) {
 	}
 }
 
+func TestCountingAssociationSaturatedUpdateLeavesFilterUnchanged(t *testing.T) {
+	// With 1-bit counters, k1's encoding collides with k0's, so
+	// InsertS1(k1) must fail. It used to mark k1 as stored in S1 before
+	// the headroom check and never undo it: k1 then answered RegionNone
+	// (a false negative) and a retry returned nil, making it permanent.
+	a := mustCountingAssoc(t, 64, 4, WithCounterWidth(1))
+	k0, k1 := []byte("k0"), []byte("k1")
+	if err := a.InsertS1(k0); err != nil {
+		t.Fatal(err)
+	}
+	before, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for try := 0; try < 2; try++ {
+		if err := a.InsertS1(k1); !errors.Is(err, ErrCounterSaturated) {
+			t.Fatalf("InsertS1(k1) try %d = %v, want ErrCounterSaturated", try, err)
+		}
+	}
+	if a.sets.Contains(k1) {
+		t.Error("failed InsertS1 left k1 in the membership table")
+	}
+	if a.N1() != 1 {
+		t.Errorf("N1 = %d after failed insert, want 1", a.N1())
+	}
+	after, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Error("failed InsertS1 changed the serialized filter")
+	}
+	if got := a.Query(k0); !got.Contains(RegionS1Only) {
+		t.Errorf("Query(k0) = %v, lost S1", got)
+	}
+}
+
 func TestCountingAssociationMatchesStaticBuild(t *testing.T) {
 	// Dynamically building the same sets must answer queries with the
 	// same no-false-negative guarantee as BuildAssociation.

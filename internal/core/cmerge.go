@@ -47,8 +47,8 @@ func (f *CountingMultiplicity) Merge(other *CountingMultiplicity) error {
 	f.bits.Or(other.bits)
 	if f.table != nil {
 		other.table.Range(func(key []byte, v uint64) bool {
-			if cur, _ := f.table.Get(key); v > cur {
-				f.table.Put(key, v)
+			if c, cur, _ := f.table.Find(key); v > cur {
+				f.table.Store(c, key, v)
 			}
 			return true
 		})

@@ -90,13 +90,13 @@ func (f *CountingMultiplicity) C() int { return f.c }
 
 // current returns e's multiplicity as the update path sees it: exact
 // from the hash table in safe mode, queried from B (via d) in unsafe
-// mode.
-func (f *CountingMultiplicity) current(e []byte, d hashing.Digest) int {
+// mode. The cursor commits the new count without a second probe.
+func (f *CountingMultiplicity) current(e []byte, d hashing.Digest) (hashtable.Cursor, int) {
 	if f.table != nil {
-		v, _ := f.table.Get(e)
-		return int(v)
+		c, v, _ := f.table.Find(e)
+		return c, int(v)
 	}
-	return f.CountDigest(d)
+	return hashtable.Cursor{}, f.CountDigest(d)
 }
 
 // Insert increments e's multiplicity. It returns ErrCountOverflow when
@@ -110,7 +110,7 @@ func (f *CountingMultiplicity) Insert(e []byte) error {
 // sharded layer). d must be e's hashing.KeyDigest; the raw key is
 // still needed for the backing hash table.
 func (f *CountingMultiplicity) InsertDigest(e []byte, d hashing.Digest) error {
-	z := f.current(e, d)
+	c, z := f.current(e, d)
 	if z+1 > f.c {
 		return ErrCountOverflow
 	}
@@ -122,7 +122,7 @@ func (f *CountingMultiplicity) InsertDigest(e []byte, d hashing.Digest) error {
 	}
 	f.addEncoding(d, z+1)
 	if f.table != nil {
-		f.table.Add(e, 1)
+		f.table.Store(c, e, uint64(z+1))
 	}
 	return nil
 }
@@ -135,7 +135,7 @@ func (f *CountingMultiplicity) Delete(e []byte) error {
 
 // DeleteDigest is Delete for an already digested key.
 func (f *CountingMultiplicity) DeleteDigest(e []byte, d hashing.Digest) error {
-	z := f.current(e, d)
+	c, z := f.current(e, d)
 	if z == 0 {
 		return ErrNotStored
 	}
@@ -149,7 +149,11 @@ func (f *CountingMultiplicity) DeleteDigest(e []byte, d hashing.Digest) error {
 		f.addEncoding(d, z-1)
 	}
 	if f.table != nil {
-		f.table.Sub(e, 1)
+		if z == 1 {
+			f.table.Remove(c)
+		} else {
+			f.table.Store(c, e, uint64(z-1))
+		}
 	}
 	return nil
 }

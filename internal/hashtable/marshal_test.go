@@ -78,3 +78,39 @@ func TestDecodeIntoRejectsCorrupt(t *testing.T) {
 		}
 	}
 }
+
+func TestMembersMatchPerSetTables(t *testing.T) {
+	// A mask table serialized one set at a time must give the same bytes
+	// as a separate table per set, and decode back to the same masks.
+	masks, t1, t2 := New(1), New(2), New(3)
+	for i := 0; i < 500; i++ {
+		k := []byte(fmt.Sprintf("key-%d", i))
+		var m uint64
+		if i%3 != 0 {
+			m |= 1
+			t1.Put(k, 1)
+		}
+		if i%2 == 0 {
+			m |= 2
+			t2.Put(k, 1)
+		}
+		if m != 0 {
+			masks.Put(k, m)
+		}
+	}
+	enc := masks.AppendMembers(masks.AppendMembers(nil, 1), 2)
+	if want := t2.AppendBinary(t1.AppendBinary(nil)); string(enc) != string(want) {
+		t.Fatal("AppendMembers differs from per-set tables")
+	}
+	got := New(4)
+	rest, err := got.DecodeMembers(enc, 1)
+	if err == nil {
+		rest, err = got.DecodeMembers(rest, 2)
+	}
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("DecodeMembers: err=%v rest=%d", err, len(rest))
+	}
+	if string(got.AppendBinary(nil)) != string(masks.AppendBinary(nil)) {
+		t.Fatal("decoded masks differ from the original")
+	}
+}
